@@ -24,6 +24,7 @@ import os
 from typing import Optional, Sequence, Union
 
 from repro.lang import ast
+from repro.portfolio.batch import verify_batch
 from repro.verify import VerifierConfig
 from repro.verify.verifier import verify_one
 
@@ -129,23 +130,6 @@ def verify_python(
         measure_memory=measure_memory,
     )
     return result, translation
-
-
-def verify_batch(
-    tasks,
-    configs,
-    jobs: Optional[int] = None,
-    time_limit_s: Optional[float] = 10.0,
-    measure_memory: bool = False,
-):
-    """Run a (tasks x configs) grid over a process pool; see
-    :func:`repro.portfolio.batch.verify_batch`."""
-    from repro.portfolio.batch import verify_batch as _verify_batch
-
-    return _verify_batch(
-        tasks, configs, jobs=jobs, time_limit_s=time_limit_s,
-        measure_memory=measure_memory,
-    )
 
 
 def analyze(

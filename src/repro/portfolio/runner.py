@@ -1,42 +1,37 @@
 """The multiprocess portfolio runner: first conclusive verdict wins.
 
-Each configuration runs :func:`repro.verify.verify` in its own worker
-process (engines are CPU-bound pure Python, so processes -- not threads --
-are the only way to use more than one core).  As soon as one worker
-reports SAFE or UNSAFE, the remaining workers are cancelled with SIGTERM;
-ties between workers that finished in the same poll interval are broken
-deterministically in favour of the earliest configuration in the
-portfolio.  With ``jobs=1`` the portfolio degrades gracefully to serial
-execution in portfolio order, stopping at the first conclusive verdict --
-same winner rule, no processes.
+Each configuration runs :func:`repro.verify.verify` in its own fresh
+worker process of a :class:`~repro.supervisor.Supervisor` pool (engines
+are CPU-bound pure Python, so processes -- not threads -- are the only
+way to use more than one core).  Members are submitted in portfolio
+order; as soon as one reports SAFE or UNSAFE the pool is shut down,
+cancelling the rest with SIGTERM.  Ties between members that finished in
+the same drain are broken in favour of the earliest configuration.  With
+``jobs=1`` the portfolio degrades gracefully to serial execution in
+portfolio order, stopping at the first conclusive verdict -- same winner
+rule, no processes.
 
-The parallel race is hardened against misbehaving workers:
-
-* every worker posts **heartbeats**; a worker that stays alive but stops
-  heartbeating for ``hang_timeout_s`` is declared hung and killed
-  (``status="error"``) instead of stalling the race;
-* a worker that **dies without reporting** (OOM-killed, segfaulted
-  extension, :data:`os.kill`) is reaped as ``status="error"``;
-* cancellation escalates: SIGTERM, then SIGKILL after ``term_grace_s``
-  for workers that ignore the termination request.
+The supervisor kills a worker silent for ``hang_timeout_s``, reaps one
+that dies without reporting (both end as ``status="error"``), and
+escalates cancellation from SIGTERM to SIGKILL after ``term_grace_s``.
 
 With ``share_clauses=True`` the members whose configs produce the
 identical CNF encoding (grouped by
 :func:`repro.portfolio.sharing.encoding_signature`) exchange short learned
-clauses while they race: workers publish them as ``"cl"`` messages on the
-result queue and the parent relays each batch to the import queues of the
-publisher's group siblings, who pull them in at their next restart
-boundary.  Sharing never changes a verdict -- only which engine reaches it
-first -- because shared clauses are consequences of the common formula.
+clauses while they race: every worker receives all members' import queues
+when it is spawned, puts each exported batch straight into its group
+siblings' queues, and pulls its own in at its next restart boundary.
+Sharing never changes a verdict -- only which engine reaches it first --
+because shared clauses are consequences of the common formula.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import queue as queue_mod
-import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -44,18 +39,13 @@ from repro.lang import ast
 from repro.portfolio.sharing import share_groups
 from repro.robustness.faults import fault_point
 from repro.sat import sharing as sat_sharing
+from repro.supervisor import CONTEXT, HEARTBEAT_S, TERM_GRACE_S, Supervisor
 from repro.verify import Verdict, VerificationResult, VerifierConfig, verify
 from repro.verify.config import PRESETS
 
 __all__ = ["EngineRun", "PortfolioResult", "verify_portfolio"]
 
 _CONCLUSIVE = (Verdict.SAFE, Verdict.UNSAFE)
-
-#: Seconds a terminated worker gets to exit before SIGKILL.
-_TERM_GRACE_S = 5.0
-
-#: Interval between worker heartbeats.
-_HEARTBEAT_S = 0.2
 
 
 @dataclass
@@ -146,66 +136,6 @@ def _source_of(program: Union[str, ast.Program]) -> str:
     return unparse(program)
 
 
-def _worker(
-    source: str,
-    config: VerifierConfig,
-    index: int,
-    out_queue,
-    heartbeat_s: float = _HEARTBEAT_S,
-    share_queue=None,
-    share_signature=None,
-) -> None:
-    """Process entry point: verify and report (index, kind, payload).
-
-    ``kind`` is ``"ok"`` (payload: the result), ``"error"`` (payload: a
-    message), ``"hb"`` (heartbeat, payload: None) or ``"cl"`` (payload: a
-    list of learned-clause tuples for the parent to relay).  Heartbeats
-    come from a daemon thread so the parent can distinguish a slow worker
-    from a hung one.  When ``share_queue`` is given, a
-    :class:`~repro.sat.sharing.ShareChannel` is attached process-wide:
-    exports travel out as ``"cl"`` messages, imports arrive on
-    ``share_queue`` (one list of clause tuples per item).
-    """
-    stop = threading.Event()
-
-    def _beat() -> None:
-        while not stop.wait(heartbeat_s):
-            try:
-                out_queue.put((index, "hb", None))
-            except Exception:  # queue torn down: parent is gone
-                return
-
-    beater = threading.Thread(target=_beat, daemon=True)
-    beater.start()
-    if share_queue is not None:
-        def _send(clauses) -> None:
-            try:
-                out_queue.put((index, "cl", clauses))
-            except Exception:  # queue torn down: race already decided
-                pass
-
-        def _recv():
-            items = []
-            while True:
-                try:
-                    items.extend(share_queue.get_nowait())
-                except (queue_mod.Empty, OSError):
-                    break
-            return items
-
-        sat_sharing.attach(
-            sat_sharing.ShareChannel(_send, _recv, signature=share_signature)
-        )
-    try:
-        fault_point("portfolio_worker")
-        result = verify(source, config)
-        stop.set()
-        out_queue.put((index, "ok", result))
-    except BaseException as exc:  # noqa: BLE001 - report, don't crash silently
-        stop.set()
-        out_queue.put((index, "error", f"{type(exc).__name__}: {exc}"))
-
-
 def verify_portfolio(
     program: Union[str, ast.Program],
     configs: Sequence[Union[str, VerifierConfig]],
@@ -213,8 +143,8 @@ def verify_portfolio(
     time_limit_s: Optional[float] = None,
     wall_budget_s: Optional[float] = None,
     hang_timeout_s: Optional[float] = 30.0,
-    term_grace_s: float = _TERM_GRACE_S,
-    heartbeat_s: float = _HEARTBEAT_S,
+    term_grace_s: float = TERM_GRACE_S,
+    heartbeat_s: float = HEARTBEAT_S,
     share_clauses: bool = False,
 ) -> PortfolioResult:
     """Race a portfolio of engine configurations on one program.
@@ -287,17 +217,12 @@ def _run_serial(
         t0 = time.monotonic()
         sat_sharing.attach(channels.get(i))
         try:
-            result = verify(program, cfg)
+            outcome = {"result": verify(program, cfg)}
         except Exception as exc:
-            runs[i] = EngineRun(
-                cfg.name, "error",
-                wall_time_s=time.monotonic() - t0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            continue
+            outcome = {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             sat_sharing.detach()
-        runs[i] = _run_from_result(cfg.name, result)
+        runs[i] = _run_from(cfg.name, outcome, time.monotonic() - t0)
         if runs[i].status == "conclusive":
             winner_idx = i
             break
@@ -305,12 +230,18 @@ def _run_serial(
     return _finish(runs, winner_idx, start, shared)
 
 
-def _run_from_result(name: str, result: VerificationResult) -> EngineRun:
-    """Classify a completed verification into an :class:`EngineRun`.
+def _run_from(name: str, outcome: Dict, elapsed: float) -> EngineRun:
+    """Classify one member's outcome -- ``{"result": VerificationResult}``
+    or ``{"error": message}`` -- into an :class:`EngineRun`.
 
     A contained engine crash (``verdict == "error"``) counts as a worker
     error, not an unknown: the diagnostic is surfaced in ``error``.
     """
+    if "error" in outcome:
+        return EngineRun(
+            name, "error", wall_time_s=elapsed, error=outcome["error"]
+        )
+    result: VerificationResult = outcome["result"]
     if result.verdict in _CONCLUSIVE:
         status = "conclusive"
     elif result.verdict == Verdict.ERROR:
@@ -326,6 +257,53 @@ def _run_from_result(name: str, result: VerificationResult) -> EngineRun:
 # ----------------------------------------------------------------------
 # Parallel race
 # ----------------------------------------------------------------------
+
+#: Worker-side clause-sharing wiring, installed by :func:`_init_sharing`:
+#: ``({member: (signature, inbox, sibling inboxes)}, export counter)``.
+_wiring = None
+
+
+def _init_sharing(members, exported) -> None:
+    """Pool initializer for ``share_clauses=True`` races."""
+    global _wiring
+    _wiring = (members, exported)
+    for _, inbox, _ in members.values():
+        # Never block worker exit on batches a finished sibling will
+        # not drain.
+        inbox.cancel_join_thread()
+
+
+def _share_channel(index: int) -> Optional[sat_sharing.ShareChannel]:
+    """Member ``index``'s channel: exports go straight into its group
+    siblings' inboxes, imports come from its own."""
+    if _wiring is None or index not in _wiring[0]:
+        return None
+    members, exported = _wiring
+    signature, inbox, siblings = members[index]
+
+    def send(clauses) -> None:
+        for sibling in siblings:
+            sibling.put(clauses)
+        with exported.get_lock():
+            exported.value += len(clauses)
+
+    def recv():
+        items = []
+        while True:
+            try:
+                items.extend(inbox.get_nowait())
+            except (queue_mod.Empty, OSError):
+                return items
+
+    return sat_sharing.ShareChannel(send, recv, signature=signature)
+
+
+def _member(source: str, config: VerifierConfig, index: int):
+    """Pool job: one portfolio member, in a fresh worker process."""
+    sat_sharing.attach(_share_channel(index))
+    fault_point("portfolio_worker")
+    return verify(source, config)
+
 
 def _run_parallel(
     program,
@@ -345,168 +323,66 @@ def _run_parallel(
 
     parse(source)
 
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    out_q = ctx.Queue()
-    # Clause sharing: per-member import queues, and for each member the
-    # encoding-group siblings its exports are relayed to.
-    share_sig: Dict[int, tuple] = {}
-    share_peers: Dict[int, List[int]] = {}
-    share_in: Dict[int, multiprocessing.queues.Queue] = {}
-    shared_count = 0
+    initializer = exported = None
+    inboxes: Dict[int, object] = {}
     if share_clauses:
-        for sig, idxs in share_groups(cfgs).items():
-            for i in idxs:
-                share_sig[i] = sig
-                share_peers[i] = [j for j in idxs if j != i]
-                share_in[i] = ctx.Queue()
+        groups = share_groups(cfgs)
+        inboxes = {i: CONTEXT.Queue() for idxs in groups.values() for i in idxs}
+        wiring = {
+            i: (sig, inboxes[i], [inboxes[j] for j in idxs if j != i])
+            for sig, idxs in groups.items()
+            for i in idxs
+        }
+        exported = CONTEXT.Value("q", 0)
+        initializer = functools.partial(_init_sharing, wiring, exported)
     runs = [EngineRun(c.name, "cancelled") for c in cfgs]
-    procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-    launched_at: Dict[int, float] = {}
-    last_beat: Dict[int, float] = {}
-    pending = list(range(len(cfgs)))
-    conclusive: List[int] = []
     winner_idx: Optional[int] = None
-
-    def record(i: int, kind: str, payload) -> None:
-        if runs[i].status != "running":
-            return  # late message from a worker already reaped/killed
-        elapsed = time.monotonic() - launched_at[i]
-        if kind == "error":
-            runs[i] = EngineRun(
-                cfgs[i].name, "error", wall_time_s=elapsed, error=payload
-            )
-        else:
-            runs[i] = _run_from_result(cfgs[i].name, payload)
-
-    def reap(i: int, timeout: Optional[float] = None) -> None:
-        proc = procs.pop(i, None)
-        if proc is not None:
-            proc.join(timeout=term_grace_s if timeout is None else timeout)
-
-    def kill_escalating(i: int, error: str) -> None:
-        """SIGTERM ``i``, SIGKILL it after the grace period, record
-        ``error``."""
-        proc = procs.pop(i)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=term_grace_s)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=1.0)
-        if runs[i].status == "running":
-            runs[i] = EngineRun(
-                cfgs[i].name, "error",
-                wall_time_s=time.monotonic() - launched_at[i],
-                error=error,
-            )
-
+    # A fresh process per member: process-global state (the sharing
+    # channel, budgets, fault specs) never leaks from one to the next.
+    pool = Supervisor(
+        min(jobs, len(cfgs)), recycle_after=1, initializer=initializer,
+        hang_timeout_s=hang_timeout_s, heartbeat_s=heartbeat_s,
+    )
     try:
-        while True:
-            now = time.monotonic()
-            while pending and len(procs) < jobs:
-                i = pending.pop(0)
-                proc = ctx.Process(
-                    target=_worker,
-                    args=(
-                        source, cfgs[i], i, out_q, heartbeat_s,
-                        share_in.get(i), share_sig.get(i),
-                    ),
-                    daemon=True,
+        members = {
+            pool.submit(_member, source, cfg, i)[1]: i
+            for i, cfg in enumerate(cfgs)
+        }
+        pending = set(members)
+        deadline = None if wall_budget_s is None else start + wall_budget_s
+        while pending and winner_idx is None:
+            timeout = (
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            done, pending = wait(
+                pending, timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            if not done:
+                break  # wall budget spent: cancel everything
+            for fut in done:
+                i = members[fut]
+                runs[i] = _run_from(
+                    cfgs[i].name, fut.result(), time.monotonic() - start
                 )
-                launched_at[i] = last_beat[i] = time.monotonic()
-                proc.start()
-                procs[i] = proc
-                runs[i] = EngineRun(cfgs[i].name, "running")
-            if not procs:
-                break
-            try:
-                i, kind, payload = out_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                now = time.monotonic()
-                # Reap workers that died without reporting (OOM-kill, ...).
-                for i in [k for k, p in procs.items() if not p.is_alive()]:
-                    reap(i)
-                    if runs[i].status == "running":
-                        runs[i] = EngineRun(
-                            cfgs[i].name, "error",
-                            wall_time_s=now - launched_at[i],
-                            error="worker exited without reporting a result",
-                        )
-                # Kill workers that are alive but silent: a worker that
-                # stops heartbeating is hung (deadlock, SIGSTOP, runaway
-                # C loop) and must not stall the race forever.
-                if hang_timeout_s is not None:
-                    hung = [
-                        k for k in procs
-                        if now - last_beat[k] > hang_timeout_s
-                    ]
-                    for i in hung:
-                        kill_escalating(
-                            i,
-                            "worker hung: no heartbeat for "
-                            f"{now - last_beat[i]:.1f}s",
-                        )
-                if wall_budget_s is not None and now - start > wall_budget_s:
-                    break
-                continue
-            if kind == "hb":
-                last_beat[i] = time.monotonic()
-                continue
-            if kind == "cl":
-                # Relay the batch to the publisher's encoding-group
-                # siblings; they import at their next restart boundary.
-                shared_count += len(payload)
-                for j in share_peers.get(i, ()):
-                    q = share_in.get(j)
-                    if q is not None:
-                        try:
-                            q.put(payload)
-                        except Exception:
-                            pass
-                continue
-            record(i, kind, payload)
-            reap(i)
-            if runs[i].status == "conclusive":
-                conclusive.append(i)
-                # Deterministic tie-break: drain everything that finished
-                # in the same interval, then prefer the earliest config.
-                while True:
-                    try:
-                        j, kind2, payload2 = out_q.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    if kind2 in ("hb", "cl"):
-                        continue  # race decided: no relaying needed
-                    record(j, kind2, payload2)
-                    reap(j)
-                    if runs[j].status == "conclusive":
-                        conclusive.append(j)
+            # Deterministic tie-break: of everything that finished in
+            # this drain, the earliest config wins.
+            conclusive = [
+                members[f] for f in done
+                if runs[members[f]].status == "conclusive"
+            ]
+            if conclusive:
                 winner_idx = min(conclusive)
-                break
+        for fut in pending:
+            if fut.running():
+                runs[members[fut]].wall_time_s = time.monotonic() - start
     finally:
-        # Cancel the losers: SIGTERM, then SIGKILL stragglers.
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + term_grace_s
-        for i, proc in list(procs.items()):
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-            if runs[i].status == "running":
-                runs[i] = EngineRun(
-                    cfgs[i].name, "cancelled",
-                    wall_time_s=time.monotonic() - launched_at[i],
-                )
-        out_q.close()
-        for q in share_in.values():
-            # Don't block interpreter exit on relayed batches a cancelled
-            # worker never drained.
-            q.close()
-            q.cancel_join_thread()
-    return _finish(runs, winner_idx, start, shared_count)
+        pool.shutdown(grace_s=term_grace_s)
+        for inbox in inboxes.values():
+            inbox.close()
+            inbox.cancel_join_thread()
+    shared = exported.value if exported is not None else 0
+    return _finish(runs, winner_idx, start, shared)
 
 
 def _finish(

@@ -12,7 +12,7 @@ Two media are provided:
 * :class:`SerialBroker` -- an in-process mailbox for solvers that run in the
   same interpreter (the serial portfolio path and the tests);
 * arbitrary ``send``/``recv`` callables -- the parallel portfolio wires these
-  to ``multiprocessing`` queues (worker -> parent -> sibling workers).
+  to ``multiprocessing`` queues (worker -> sibling workers).
 
 Sharing is sound only between solvers working on the *identical* CNF
 (same variable numbering); grouping by encoding signature is the caller's

@@ -9,10 +9,10 @@ infrastructure that can absorb sustained traffic:
   shedding to a structured UNKNOWN with ``reason=overloaded``) and
   per-request deadlines riding the :mod:`repro.robustness` budget
   machinery;
-* :mod:`repro.service.workers` -- a pool of **warm** worker processes:
-  solver modules are pre-imported once, workers are recycled after a job
-  quota or after a memory-budget-triggered UNKNOWN (so one pathological
-  program cannot bloat a resident worker forever);
+* :mod:`repro.service.workers` -- **warm** worker processes on
+  :class:`~repro.supervisor.Supervisor`: solver modules are pre-imported,
+  workers are recycled after a job quota or after a memory-budget
+  UNKNOWN (so one pathological program cannot bloat a worker forever);
 * :mod:`repro.service.cache` -- a content-addressed **verdict cache**
   keyed on the canonical parse->unparse normal form of the program times
   the config's encoding signature

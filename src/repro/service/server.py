@@ -248,12 +248,18 @@ class ServiceServer:
         # executor: asyncio.run()'s cleanup joins executor threads, so a
         # readline still blocked there after a ``shutdown`` op would hang
         # the process until the peer closed stdin.  A daemon thread is
-        # simply abandoned at interpreter exit.
+        # simply abandoned at interpreter exit.  It reads a private file
+        # object: a worker forked while readline() holds ``sys.stdin``'s
+        # buffer lock would block forever closing ``sys.stdin``.
         line_q: "asyncio.Queue[str]" = asyncio.Queue()
+        stdin = open(
+            sys.stdin.fileno(), encoding=sys.stdin.encoding,
+            errors=sys.stdin.errors, closefd=False,
+        )
 
         def _pump_stdin() -> None:
             while True:
-                line = sys.stdin.readline()
+                line = stdin.readline()
                 loop.call_soon_threadsafe(line_q.put_nowait, line)
                 if not line:
                     return  # EOF ('' is the sentinel the loop below sees)
@@ -674,9 +680,9 @@ class ServiceServer:
             except RuntimeError as exc:  # pool shut down under us
                 return protocol.error_response(request_id, str(exc))
 
-            if "input_error" in payload:
+            if "input_error" in payload.get("result", ()):
                 return protocol.error_response(
-                    request_id, payload["input_error"]
+                    request_id, payload["result"]["input_error"]
                 )
             if "error" in payload:
                 result = VerificationResult(

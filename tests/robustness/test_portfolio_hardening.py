@@ -5,12 +5,15 @@ Faults are injected through the ``REPRO_FAULTS`` environment variable,
 which propagates into the forked worker processes."""
 
 import os
+import signal
 
 import pytest
 
+from repro.bench import Task
+from repro.bench.svcomp import svcomp_suite
 from repro.robustness.faults import ENV_VAR
-from repro.verify import Verdict, VerifierConfig
-from repro.portfolio import verify_portfolio
+from repro.verify import Verdict, VerifierConfig, registry
+from repro.portfolio import verify_batch, verify_portfolio
 from tests.verify.programs import PAPER_FIG2
 
 pytestmark = pytest.mark.timeout(120)
@@ -133,3 +136,47 @@ class TestHealthyRaceUnaffected:
         # The interpreter engine never visits 'encode': it wins.
         assert outcome.runs[1].status == "conclusive"
         assert outcome.verdict == Verdict.SAFE
+
+
+def _doomed_loader():
+    """An engine that SIGKILLs its own process on any program declaring a
+    global named ``doomed`` and runs zord on everything else."""
+    smt = registry.resolve_engine("smt")
+
+    def run(program, config, telemetry=None):
+        if "doomed" in program.global_names():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return smt(program, VerifierConfig.zord(unwind=config.unwind), telemetry)
+
+    return run
+
+
+@pytest.fixture()
+def doomed_engine():
+    registry.register_engine("doomed", _doomed_loader)
+    yield VerifierConfig(name="doomed", engine="doomed")
+    registry.unregister_engine("doomed")
+
+
+@needs_fork
+class TestBatchWorkerDeath:
+    @pytest.mark.timeout(120)
+    def test_killed_cell_is_an_error_and_the_grid_completes(
+        self, doomed_engine
+    ):
+        """One cell's worker is SIGKILLed: the grid still returns, that
+        cell is an ERROR, every other cell keeps its correct verdict."""
+        doomed = Task(
+            "doomed", "chaos",
+            "int doomed = 0;\nmain { doomed = 1; assert(doomed == 1); }\n",
+            expected_safe=True, unwind=2,
+        )
+        tasks = svcomp_suite(1)[:4] + [doomed]
+        grid = verify_batch(tasks, [doomed_engine], jobs=2)
+        rows = grid["doomed"]
+        assert rows[-1].task == "doomed"
+        assert rows[-1].verdict == Verdict.ERROR
+        for task, row in zip(tasks[:-1], rows):
+            assert row.task == task.name
+            expected = Verdict.SAFE if task.expected_safe else Verdict.UNSAFE
+            assert row.verdict == expected

@@ -35,6 +35,7 @@ from repro.service.persist import CacheStore, JOURNAL_NAME
 from repro.service.server import DRAIN_EXIT_CODE, ServiceServer
 from repro.verify.config import VerifierConfig
 from repro.verify.result import SCHEMA_VERSION as RESULT_SCHEMA_VERSION
+from tests.service import proctree
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -101,9 +102,7 @@ def _spawn_tcp_daemon(tmp_path=None, faults=None, cache_dir=None):
 
 
 def _stop_daemon(proc):
-    if proc.poll() is None:
-        proc.kill()
-    proc.wait(timeout=10)
+    proctree.kill_tree(proc)
 
 
 @pytest.mark.slow
@@ -306,6 +305,26 @@ class TestCompactionCrash:
         fresh = VerdictCache(cache_dir=str(tmp_path))
         assert len(fresh) == 3
         fresh.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestParentDeath:
+    def test_sigkilled_daemon_leaves_no_process(self):
+        """kill -9 of the daemon: its pool workers notice the parent is
+        gone and exit, instead of blocking on the job queue forever."""
+        proc, _ = _spawn_tcp_daemon()
+        tree = proctree.descendants(proc.pid)
+        try:
+            assert tree, "the daemon should have started a pool worker"
+            proc.kill()
+            proc.wait(timeout=10)
+            survivors = proctree.wait_gone(tree, timeout_s=10.0)
+            assert not survivors, f"orphaned daemon processes: {survivors}"
+        finally:
+            for pid in tree:
+                if proctree.alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            _stop_daemon(proc)
 
 
 @pytest.mark.slow

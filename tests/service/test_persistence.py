@@ -31,6 +31,7 @@ from repro.service.persist import (
 )
 from repro.verify.config import VerifierConfig
 from repro.verify.result import SCHEMA_VERSION as RESULT_SCHEMA_VERSION
+from tests.service import proctree
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -262,8 +263,7 @@ class TestDaemonRestartRecovery:
             assert response["result"]["verdict"] == "safe"
             assert not response["cache_hit"]
         finally:
-            proc.kill()
-            proc.wait(timeout=10)
+            proctree.kill_tree(proc)
 
         proc = subprocess.Popen(
             cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,

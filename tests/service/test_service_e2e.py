@@ -311,6 +311,28 @@ class TestStdioShutdown:
             client.close()
 
 
+class TestStdioRecycle:
+    @pytest.mark.timeout(120)
+    def test_recycling_stdio_daemon_keeps_answering(self):
+        """Workers replaced while the stdin reader is blocked must come up
+        and serve: a forked worker closes ``sys.stdin`` on startup, which
+        used to wait forever on the reader's buffer lock."""
+        client = ServiceClient.spawn(workers=1, recycle_after=2)
+        proc = client._proc
+        try:
+            for k in range(1, 5):
+                source = (
+                    f"int x = 0;\nthread t {{ x = x + {k}; }}\n"
+                    f"main {{ start t; join t; assert(x == {k}); }}\n"
+                )
+                result = client.verify(source)
+                assert result.verdict == Verdict.SAFE
+                assert result.stats["cache_hit"] == 0
+        finally:
+            client.close()
+        assert proc.returncode == 0  # exited on EOF, not killed by close()
+
+
 @pytest.fixture(scope="module")
 def client():
     client = ServiceClient.spawn(workers=2)
